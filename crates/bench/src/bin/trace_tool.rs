@@ -106,8 +106,10 @@ fn stats(args: &[String]) -> Result<(), String> {
     for k in &trace.kernels {
         for c in &k.ctas {
             for op in &c.ops {
+                delay_cycles += op.delay_cycles();
                 match *op {
                     TraceOp::Access(a) => {
+                        delays += u64::from(a.delay > 0);
                         match a.kind {
                             AccessKind::Load => loads += 1,
                             AccessKind::Store => stores += 1,
@@ -118,10 +120,7 @@ fn stats(args: &[String]) -> Result<(), String> {
                         lines.insert(line);
                         *line_touches.entry(line).or_insert(0) += 1;
                     }
-                    TraceOp::Delay(d) => {
-                        delays += 1;
-                        delay_cycles += d as u64;
-                    }
+                    TraceOp::Delay(_) => delays += 1,
                     TraceOp::Acquire(_) => acquires += 1,
                     TraceOp::Release(_) => releases += 1,
                     TraceOp::SetFlag(_) | TraceOp::WaitFlag { .. } => flags += 1,

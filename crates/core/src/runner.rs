@@ -147,10 +147,7 @@ pub fn auto_livelock_budget(cfg: &EngineConfig, trace: &WorkloadTrace) -> u64 {
         .iter()
         .flat_map(|k| k.ctas.iter())
         .flat_map(|c| c.ops.iter())
-        .map(|op| match op {
-            TraceOp::Delay(d) => u64::from(*d),
-            _ => 0,
-        })
+        .map(TraceOp::delay_cycles)
         .sum();
     let per_kernel = cfg.kernel_launch_overhead.as_u64()
         + cfg.dram_latency.as_u64()

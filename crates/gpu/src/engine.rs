@@ -99,7 +99,12 @@ enum SmState {
 struct Sm {
     l1: Cache<u64>,
     cta: Option<usize>,
+    /// Index of the next op of the CTA's (possibly folded) op list.
     pc: usize,
+    /// Compute delay still to run from the folded access before `pc`:
+    /// its access took the last op of an issue batch, so the delay is
+    /// the first op of the next batch (see `sm_issue`).
+    owed_delay: u32,
     outstanding: u32,
     state: SmState,
 }
@@ -420,6 +425,7 @@ impl<'t> Sim<'t> {
                 l1: Cache::new(cfg.l1),
                 cta: None,
                 pc: 0,
+                owed_delay: 0,
                 outstanding: 0,
                 state: SmState::Idle,
             })
@@ -904,6 +910,7 @@ impl<'t> Sim<'t> {
                 let s = self.sm(r);
                 s.cta = cta;
                 s.pc = 0;
+                s.owed_delay = 0;
                 if cta.is_some() {
                     s.state = SmState::Runnable;
                     self.q.push(start, Ev::SmResume(r));
@@ -984,13 +991,25 @@ impl<'t> Sim<'t> {
         if self.sms[idx].state != SmState::Runnable {
             return;
         }
+        // A folded access that took the last op of the previous batch
+        // left its delay as this batch's first op, exactly where the
+        // unfolded `Delay` would sit.
+        let owed = std::mem::take(&mut self.sms[idx].owed_delay);
+        if owed > 0 {
+            self.sm_delay(t, r, owed);
+            return;
+        }
         // The trace outlives `self`'s borrow, so the current CTA's op
         // slice can be cached across batch iterations instead of
         // re-walking kernel -> CTA -> ops for every issued op.
         let trace: &'t WorkloadTrace = self.trace;
         let mut cached_key = (usize::MAX, usize::MAX);
         let mut ops: &'t [TraceOp] = &[];
-        for _ in 0..ISSUE_BATCH {
+        // Ops left in this batch, counted in unfolded form: a folded
+        // access with its delay takes two, like the pair it stands for.
+        let mut budget = ISSUE_BATCH;
+        while budget > 0 {
+            budget -= 1;
             let (kernel, cta, pc) = {
                 let s = &self.sms[idx];
                 match s.cta {
@@ -1013,6 +1032,7 @@ impl<'t> Sim<'t> {
                 let s = &mut self.sms[idx];
                 s.cta = next;
                 s.pc = 0;
+                s.owed_delay = 0;
                 if next.is_none() {
                     s.state = SmState::Idle;
                     self.maybe_kernel_end(t);
@@ -1042,10 +1062,20 @@ impl<'t> Sim<'t> {
                     }
                     self.sms[idx].pc += 1;
                     t += Cycle(self.cfg.issue_cycles as u64);
+                    if a.delay > 0 {
+                        if budget == 0 {
+                            // The access took the batch's last op: yield
+                            // now and run the delay first thing next batch.
+                            self.sms[idx].owed_delay = a.delay;
+                            break;
+                        }
+                        self.sm_delay(t, r, a.delay);
+                        return;
+                    }
                 }
                 TraceOp::Delay(d) => {
                     self.sms[idx].pc += 1;
-                    self.q.push(t + Cycle(d as u64), Ev::SmResume(r));
+                    self.sm_delay(t, r, d);
                     return;
                 }
                 TraceOp::Acquire(scope) => {
@@ -1101,6 +1131,12 @@ impl<'t> Sim<'t> {
         }
         // Yield after a long batch so other events interleave.
         self.q.push(t, Ev::SmResume(r));
+    }
+
+    /// Runs `d` cycles of compute on `r` from `t`: the SM resumes
+    /// issuing once they pass.
+    fn sm_delay(&mut self, t: Cycle, r: SmRef, d: u32) {
+        self.q.push(t + Cycle(d as u64), Ev::SmResume(r));
     }
 
     /// Issues a load. Returns `false` if the SM is out of miss capacity.
@@ -2803,6 +2839,7 @@ impl<'t> Sim<'t> {
                 let cta = s.cta.take();
                 let pc = s.pc;
                 s.pc = 0;
+                s.owed_delay = 0;
                 s.outstanding = 0;
                 s.state = SmState::Idle;
                 s.l1.invalidate_all();
@@ -3243,6 +3280,7 @@ impl<'t> Sim<'t> {
         let s = &mut self.sms[idx];
         s.cta = next;
         s.pc = 0;
+        s.owed_delay = 0;
         if next.is_some() {
             s.state = SmState::Runnable;
             self.q.push(now, Ev::SmResume(r));
@@ -3355,6 +3393,7 @@ impl SnapshotWrite for Sm {
         self.l1.write_snap(w);
         self.cta.write_snap(w);
         self.pc.write_snap(w);
+        w.put_u32(self.owed_delay);
         w.put_u32(self.outstanding);
         self.state.write_snap(w);
     }
@@ -3366,6 +3405,7 @@ impl SnapshotRead for Sm {
             l1: Cache::read_snap(r)?,
             cta: Option::read_snap(r)?,
             pc: usize::read_snap(r)?,
+            owed_delay: r.get_u32()?,
             outstanding: r.get_u32()?,
             state: SmState::read_snap(r)?,
         })
@@ -5215,6 +5255,45 @@ mod tests {
                 }
             }
         }
+
+        // A cut while a delay is owed: GPM0's CTA issues 255 stores and
+        // then a store with a folded delay, whose access takes the last
+        // op of the first issue batch. Until the SM's yield resumes it
+        // (256 issue slots after launch), the delay lives only in
+        // `Sm::owed_delay`, so the capture must carry it.
+        let mut owing: Vec<TraceOp> = (0..255).map(|i| st((i % 16) * 128)).collect();
+        owing.extend([st(4096), TraceOp::Delay(2000), st(0), ld(4096)]);
+        let trace = WorkloadTrace::new("owed", vec![kernel_per_gpm(vec![owing])]);
+        let cfg = EngineConfig::small_test(ProtocolKind::Hmg);
+        let reference = Engine::new(cfg.clone()).try_run(&trace).unwrap();
+        let cut = cfg.kernel_launch_overhead.as_u64() + 32 * u64::from(cfg.issue_cycles);
+        let base = snap_store("km-owed");
+        let mut policy = SnapshotPolicy::periodic(base.clone(), 78, 0);
+        policy.snap_at = vec![cut];
+        let (first, rep) = Engine::new(cfg.clone())
+            .try_run_preemptible(&trace, &policy)
+            .unwrap();
+        assert_eq!(rep.written, 1, "owed: one capture at the cut");
+        assert_metrics_identical(&reference, &first, "owed: capturing run");
+        let slot = SnapshotStore::new(&base)
+            .slots()
+            .into_iter()
+            .find(|p| p.exists())
+            .expect("one slot holds the capture");
+        let mut captured = Sim::new(&cfg, &trace);
+        captured
+            .restore_snapshot(&Snapshot::load(&slot, Some(78)).unwrap())
+            .unwrap();
+        assert!(
+            captured.sms.iter().any(|s| s.owed_delay == 2000),
+            "the capture holds the owed delay"
+        );
+        policy.snap_at.clear();
+        let (resumed, rep) = Engine::new(cfg)
+            .try_run_preemptible(&trace, &policy)
+            .unwrap();
+        assert_eq!(rep.resumed_from.map(|c| c >= cut), Some(true), "{rep:?}");
+        assert_metrics_identical(&reference, &resumed, "owed: resumed run");
     }
 
     /// Periodic captures at snapshot boundaries plus a one-shot capture

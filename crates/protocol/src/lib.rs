@@ -46,4 +46,4 @@ pub use spec::{Action, Arbitration, Guard, GuardCtx, ProtocolSpec, SpecRow, Spec
 pub use table::{
     row_index, row_of, transition, try_transition, DirEvent, DirState, Outcome, NUM_ROWS,
 };
-pub use trace::{Cta, Kernel, TraceOp, WorkloadTrace};
+pub use trace::{push_folded, Cta, Kernel, TraceOp, WorkloadTrace};

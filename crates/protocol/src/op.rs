@@ -44,8 +44,9 @@ impl fmt::Display for AccessKind {
     }
 }
 
-/// One warp-coalesced memory access: an address, a kind, and the scope
-/// annotation (plain accesses carry `.cta`).
+/// One warp-coalesced memory access: an address, a kind, the scope
+/// annotation (plain accesses carry `.cta`), and the compute delay that
+/// follows it in the trace.
 ///
 /// # Example
 ///
@@ -67,12 +68,20 @@ pub struct Access {
     pub kind: AccessKind,
     /// Visibility scope (plain accesses use `.cta`).
     pub scope: Scope,
+    /// Compute cycles after the access: a positive `TraceOp::Delay`
+    /// folded into the access op (see `Cta::new`). 0 means none.
+    pub delay: u32,
 }
 
 impl Access {
     /// Creates an access.
     pub fn new(addr: Addr, kind: AccessKind, scope: Scope) -> Self {
-        Access { addr, kind, scope }
+        Access {
+            addr,
+            kind,
+            scope,
+            delay: 0,
+        }
     }
 
     /// A plain (`.cta`) load.
@@ -93,7 +102,11 @@ impl Access {
 
 impl fmt::Display for Access {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{} {}", self.kind, self.scope, self.addr)
+        write!(f, "{}{} {}", self.kind, self.scope, self.addr)?;
+        if self.delay > 0 {
+            write!(f, " +delay {}", self.delay)?;
+        }
+        Ok(())
     }
 }
 
@@ -125,6 +138,7 @@ impl hmg_sim::SnapshotWrite for Access {
         self.addr.write_snap(w);
         self.kind.write_snap(w);
         self.scope.write_snap(w);
+        w.put_u32(self.delay);
     }
 }
 
@@ -134,6 +148,7 @@ impl hmg_sim::SnapshotRead for Access {
             addr: Addr::read_snap(r)?,
             kind: AccessKind::read_snap(r)?,
             scope: Scope::read_snap(r)?,
+            delay: r.get_u32()?,
         })
     }
 }
@@ -166,5 +181,7 @@ mod tests {
     fn display_is_readable() {
         let a = Access::atomic(Addr(0x10), Scope::Gpu);
         assert_eq!(a.to_string(), "atom.gpu 0x10");
+        let folded = Access { delay: 7, ..a };
+        assert_eq!(folded.to_string(), "atom.gpu 0x10 +delay 7");
     }
 }

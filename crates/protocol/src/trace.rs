@@ -14,6 +14,12 @@
 //! synchronization that `cuSolver`, `namd2.10` and `mst` use (Section VI)
 //! without simulating spin loops, which the paper's own simulator also
 //! cannot model faithfully.
+//!
+//! Traces are stored *folded*: a positive [`TraceOp::Delay`] directly
+//! after an access lives in that access's [`Access::delay`] field, so
+//! the common access-then-compute pair costs one op, not two. The
+//! folded and unfolded forms simulate identically (DESIGN.md §13);
+//! [`Cta::logical_ops`] recovers the unfolded sequence.
 
 use crate::op::Access;
 use crate::scope::Scope;
@@ -40,7 +46,62 @@ pub enum TraceOp {
     },
 }
 
-/// One CTA: a straight-line op list.
+// A later field must not silently grow every trace by half.
+const _: () = assert!(std::mem::size_of::<TraceOp>() == 16);
+
+impl TraceOp {
+    /// Compute cycles this op spends: a `Delay`'s own, or the delay
+    /// folded into an access.
+    #[inline]
+    pub fn delay_cycles(&self) -> u64 {
+        match self {
+            TraceOp::Delay(d) => u64::from(*d),
+            TraceOp::Access(a) => u64::from(a.delay),
+            _ => 0,
+        }
+    }
+
+    /// The unfolded form of this op: an access with a folded delay
+    /// splits into the bare access and its `Delay`; any other op is
+    /// returned as is.
+    #[inline]
+    pub fn unfold(self) -> (TraceOp, Option<TraceOp>) {
+        match self {
+            TraceOp::Access(a) if a.delay > 0 => (
+                TraceOp::Access(Access { delay: 0, ..a }),
+                Some(TraceOp::Delay(a.delay)),
+            ),
+            op => (op, None),
+        }
+    }
+
+    /// Folds `next` into `self` if `self` is an access without a delay
+    /// and `next` a positive `Delay`. Returns whether it did. `Delay(0)`
+    /// never folds: it is a yield, not compute.
+    #[inline]
+    fn absorb(&mut self, next: TraceOp) -> bool {
+        match (self, next) {
+            (TraceOp::Access(a), TraceOp::Delay(d)) if a.delay == 0 && d > 0 => {
+                a.delay = d;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Appends `op` to the folded op list `ops`, folding a positive
+/// `Delay` into the access right before it.
+#[inline]
+pub fn push_folded(ops: &mut Vec<TraceOp>, op: TraceOp) {
+    if !ops.last_mut().is_some_and(|last| last.absorb(op)) {
+        ops.push(op);
+    }
+}
+
+/// One CTA: a straight-line op list, stored folded (see the module
+/// docs). A `Cta { ops }` literal keeps `ops` as given; the engine runs
+/// either form identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cta {
     /// The operations, in program order.
@@ -48,9 +109,23 @@ pub struct Cta {
 }
 
 impl Cta {
-    /// Creates a CTA from its ops.
-    pub fn new(ops: Vec<TraceOp>) -> Self {
+    /// Creates a CTA from its ops, folding each positive `Delay` that
+    /// directly follows an access into that access. The fold is done in
+    /// place and the list trimmed to its exact size.
+    #[inline]
+    pub fn new(mut ops: Vec<TraceOp>) -> Self {
+        ops.dedup_by(|next, last| last.absorb(*next));
+        ops.shrink_to_fit();
         Cta { ops }
+    }
+
+    /// The ops in unfolded form: every folded delay reappears as a
+    /// `Delay` right after its access.
+    pub fn logical_ops(&self) -> impl Iterator<Item = TraceOp> + '_ {
+        self.ops.iter().flat_map(|op| {
+            let (first, second) = op.unfold();
+            std::iter::once(first).chain(second)
+        })
     }
 
     /// Number of memory accesses in this CTA.
@@ -180,6 +255,51 @@ mod tests {
         assert_eq!(t.footprint_bytes(), 5001);
         let empty = WorkloadTrace::new("e", vec![]);
         assert_eq!(empty.footprint_bytes(), 0);
+    }
+
+    #[test]
+    fn new_folds_positive_delays_after_accesses() {
+        let folded_ld = |addr, delay| {
+            TraceOp::Access(Access {
+                delay,
+                ..Access::load(Addr(addr))
+            })
+        };
+        let unfolded = vec![
+            access(0),
+            TraceOp::Delay(5),
+            TraceOp::Delay(6),
+            access(128),
+            TraceOp::Delay(0),
+            TraceOp::Delay(3),
+            TraceOp::SetFlag(1),
+            TraceOp::Delay(4),
+            access(256),
+        ];
+        let cta = Cta::new(unfolded.clone());
+        assert_eq!(
+            cta.ops,
+            vec![
+                folded_ld(0, 5),
+                TraceOp::Delay(6),
+                access(128),
+                TraceOp::Delay(0),
+                TraceOp::Delay(3),
+                TraceOp::SetFlag(1),
+                TraceOp::Delay(4),
+                access(256),
+            ]
+        );
+        assert_eq!(cta.ops.capacity(), cta.ops.len());
+        assert_eq!(cta.logical_ops().collect::<Vec<_>>(), unfolded);
+        assert_eq!(Cta::new(cta.ops.clone()), cta, "folding is idempotent");
+        let mut pushed = Vec::new();
+        for op in unfolded {
+            push_folded(&mut pushed, op);
+        }
+        assert_eq!(pushed, cta.ops);
+        let delays: u64 = cta.ops.iter().map(TraceOp::delay_cycles).sum();
+        assert_eq!(delays, 5 + 6 + 3 + 4);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //!     per CTA: op_count:u32
 //!       per op: tag:u8 payload...
 //! ```
+//!
+//! The op records are the CTA's unfolded ops ([`Cta::logical_ops`]):
+//! an access with a folded delay is written as an access record and a
+//! delay record, and [`read_trace`] folds them again, so the format is
+//! the same whether or not the writer's trace was folded.
 
 use std::io::{self, Read, Write};
 
@@ -158,9 +163,9 @@ pub fn write_trace<W: Write>(mut w: W, trace: &WorkloadTrace) -> io::Result<()> 
     for k in &trace.kernels {
         w.write_all(&(k.ctas.len() as u32).to_le_bytes())?;
         for c in &k.ctas {
-            w.write_all(&(c.ops.len() as u32).to_le_bytes())?;
-            for op in &c.ops {
-                match *op {
+            w.write_all(&(c.logical_ops().count() as u32).to_le_bytes())?;
+            for op in c.logical_ops() {
+                match op {
                     TraceOp::Access(a) => {
                         w.write_all(&[0, kind_tag(a.kind), scope_tag(a.scope)])?;
                         w.write_all(&a.addr.0.to_le_bytes())?;
@@ -340,6 +345,26 @@ mod tests {
         write_trace(&mut buf, &t).expect("write");
         let back = read_trace(buf.as_slice()).expect("read");
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn folded_and_unfolded_traces_write_identical_bytes() {
+        let t = sample();
+        assert_eq!(t.kernels[0].ctas[0].ops.len(), 7, "sample has one fold");
+        let unfolded_ctas = t.kernels[0]
+            .ctas
+            .iter()
+            .map(|c| Cta {
+                ops: c.logical_ops().collect(),
+            })
+            .collect();
+        let twin = WorkloadTrace::new("sample", vec![Kernel::new(unfolded_ctas)]);
+        assert_ne!(t, twin);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        write_trace(&mut a, &t).expect("write folded");
+        write_trace(&mut b, &twin).expect("write unfolded");
+        assert_eq!(a, b);
+        assert_eq!(read_trace(b.as_slice()).expect("read"), t);
     }
 
     #[test]

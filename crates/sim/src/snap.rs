@@ -42,8 +42,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"HMGSNAP1";
 /// Current snapshot format version. Bumped on any layout change; a
 /// mismatch is refused with [`SnapError::Version`] rather than decoded
 /// on a guess. v2: `RunMetrics` gained `deferred_reqs` (phase-priority
-/// directory arbitration).
-pub const SNAP_VERSION: u32 = 2;
+/// directory arbitration). v3: traces are folded, so an SM's `pc`
+/// indexes folded ops, and each SM carries its owed delay.
+pub const SNAP_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit hash, the per-section integrity checksum.
 ///

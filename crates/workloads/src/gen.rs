@@ -2,7 +2,7 @@
 //! line-addressable regions, and a CTA op builder.
 
 use hmg_mem::Addr;
-use hmg_protocol::{Access, AccessKind, Scope, TraceOp};
+use hmg_protocol::{push_folded, Access, AccessKind, Cta, Scope, TraceOp};
 use hmg_sim::Rng;
 
 /// Cache-line size the generators emit accesses at.
@@ -94,10 +94,13 @@ impl AddrSpace {
     }
 }
 
-/// Builds one CTA's op list.
+/// Builds one CTA's op list, in folded form: a compute delay right
+/// after an access is stored in that access (see `hmg_protocol::Cta`).
 #[derive(Debug, Default)]
 pub struct CtaBuilder {
     ops: Vec<TraceOp>,
+    /// Ops in unfolded form: `ops.len()` plus the folded delays.
+    logical: usize,
 }
 
 impl CtaBuilder {
@@ -106,23 +109,25 @@ impl CtaBuilder {
         CtaBuilder::default()
     }
 
+    fn push(&mut self, op: TraceOp) -> &mut Self {
+        self.ops.push(op);
+        self.logical += 1;
+        self
+    }
+
     /// Appends a plain load of line `i` of `r`.
     pub fn load(&mut self, r: Region, i: u64) -> &mut Self {
-        self.ops.push(TraceOp::Access(Access::load(r.line(i))));
-        self
+        self.push(TraceOp::Access(Access::load(r.line(i))))
     }
 
     /// Appends a plain store to line `i` of `r`.
     pub fn store(&mut self, r: Region, i: u64) -> &mut Self {
-        self.ops.push(TraceOp::Access(Access::store(r.line(i))));
-        self
+        self.push(TraceOp::Access(Access::store(r.line(i))))
     }
 
     /// Appends a scoped access.
     pub fn access(&mut self, r: Region, i: u64, kind: AccessKind, scope: Scope) -> &mut Self {
-        self.ops
-            .push(TraceOp::Access(Access::new(r.line(i), kind, scope)));
-        self
+        self.push(TraceOp::Access(Access::new(r.line(i), kind, scope)))
     }
 
     /// Appends `n` sequential loads starting at line `start` of `r`,
@@ -169,41 +174,41 @@ impl CtaBuilder {
         self
     }
 
-    /// Appends a compute delay (skipped when zero).
+    /// Appends a compute delay (skipped when zero), folded into the
+    /// access before it when there is one.
     pub fn delay(&mut self, cycles: u32) -> &mut Self {
         if cycles > 0 {
-            self.ops.push(TraceOp::Delay(cycles));
+            push_folded(&mut self.ops, TraceOp::Delay(cycles));
+            self.logical += 1;
         }
         self
     }
 
     /// Appends a scoped acquire.
     pub fn acquire(&mut self, scope: Scope) -> &mut Self {
-        self.ops.push(TraceOp::Acquire(scope));
-        self
+        self.push(TraceOp::Acquire(scope))
     }
 
     /// Appends a scoped release.
     pub fn release(&mut self, scope: Scope) -> &mut Self {
-        self.ops.push(TraceOp::Release(scope));
-        self
+        self.push(TraceOp::Release(scope))
     }
 
     /// Appends a flag set.
     pub fn set_flag(&mut self, flag: u32) -> &mut Self {
-        self.ops.push(TraceOp::SetFlag(flag));
-        self
+        self.push(TraceOp::SetFlag(flag))
     }
 
     /// Appends a flag wait.
     pub fn wait_flag(&mut self, flag: u32, count: u32) -> &mut Self {
-        self.ops.push(TraceOp::WaitFlag { flag, count });
-        self
+        self.push(TraceOp::WaitFlag { flag, count })
     }
 
-    /// Finishes the CTA.
-    pub fn build(self) -> hmg_protocol::Cta {
-        hmg_protocol::Cta::new(self.ops)
+    /// Finishes the CTA. The ops are already folded, so `Cta::new`'s
+    /// fold pass is skipped; the list is trimmed to its exact size.
+    pub fn build(mut self) -> Cta {
+        self.ops.shrink_to_fit();
+        Cta { ops: self.ops }
     }
 
     /// Finishes the CTA, spreading `tail`'s ops evenly through this
@@ -211,31 +216,50 @@ impl CtaBuilder {
     /// are produced, not in a burst at CTA exit; bursty final writes
     /// would otherwise serialize every kernel boundary on the hot DRAM
     /// partitions.
-    pub fn build_interleaved(self, tail: CtaBuilder) -> hmg_protocol::Cta {
+    ///
+    /// Placement is by unfolded op index, so a tail op may land between
+    /// an access and its delay; the merged list is folded again as it
+    /// is built.
+    pub fn build_interleaved(self, tail: CtaBuilder) -> Cta {
         if tail.ops.is_empty() {
             return self.build();
         }
         if self.ops.is_empty() {
             return tail.build();
         }
-        let stride = self.ops.len().div_ceil(tail.ops.len()).max(1);
-        let mut merged = Vec::with_capacity(self.ops.len() + tail.ops.len());
-        let mut t = tail.ops.into_iter();
-        for (i, op) in self.ops.into_iter().enumerate() {
-            merged.push(op);
-            if (i + 1) % stride == 0 {
-                if let Some(w) = t.next() {
-                    merged.push(w);
+        let stride = self.logical.div_ceil(tail.logical).max(1);
+        let mut merged = Vec::with_capacity(self.ops.len() + tail.logical);
+        let tail = Cta { ops: tail.ops };
+        let mut tail = tail.logical_ops();
+        let mut i = 0;
+        let mut place = |merged: &mut Vec<TraceOp>, op| {
+            push_folded(merged, op);
+            i += 1;
+            if i % stride == 0 {
+                if let Some(w) = tail.next() {
+                    push_folded(merged, w);
                 }
             }
+        };
+        // An explicit split, not `flat_map`: this loop runs once per
+        // generated op, and the flattening iterator doubles its cost.
+        for op in self.ops {
+            let (access, delay) = op.unfold();
+            place(&mut merged, access);
+            if let Some(d) = delay {
+                place(&mut merged, d);
+            }
         }
-        merged.extend(t);
-        hmg_protocol::Cta::new(merged)
+        for w in tail {
+            push_folded(&mut merged, w);
+        }
+        merged.shrink_to_fit();
+        Cta { ops: merged }
     }
 
-    /// Ops accumulated so far.
+    /// Ops accumulated so far, counted in unfolded form.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.logical
     }
 
     /// Whether no ops have been added.
@@ -296,10 +320,41 @@ mod tests {
         let mut b = CtaBuilder::new();
         b.stream_loads(r, 0, 3, 5).store(r, 1).set_flag(2);
         assert!(!b.is_empty());
+        assert_eq!(b.len(), 8);
         let cta = b.build();
         assert_eq!(cta.num_accesses(), 4);
-        assert!(matches!(cta.ops[1], TraceOp::Delay(5)));
+        assert_eq!(cta.ops.len(), 5, "each stream delay folds into its load");
+        assert!(matches!(cta.ops[1], TraceOp::Access(a) if a.delay == 5));
         assert!(matches!(cta.ops.last(), Some(TraceOp::SetFlag(2))));
+    }
+
+    /// The builder's folded output equals folding the unfolded op list
+    /// the interleave would have produced, op for op.
+    #[test]
+    fn interleave_places_tail_by_unfolded_index() {
+        let mut a = AddrSpace::new();
+        let r = a.alloc(PAGE);
+        for (reads, writes, delay) in [(7, 3, 2), (6, 2, 1), (5, 5, 0), (4, 9, 3)] {
+            let mut b = CtaBuilder::new();
+            b.stream_loads(r, 0, reads, delay);
+            let mut w = CtaBuilder::new();
+            w.stream_stores(r, 0, writes, delay);
+            let mut expected = Vec::new();
+            let body: Vec<TraceOp> = Cta { ops: b.ops.clone() }.logical_ops().collect();
+            let tail_ops: Vec<TraceOp> = Cta { ops: w.ops.clone() }.logical_ops().collect();
+            let mut tail = tail_ops.into_iter();
+            let stride = body.len().div_ceil(w.len()).max(1);
+            for (i, op) in body.iter().enumerate() {
+                expected.push(*op);
+                if (i + 1) % stride == 0 {
+                    expected.extend(tail.next());
+                }
+            }
+            expected.extend(tail);
+            let cta = b.build_interleaved(w);
+            assert_eq!(cta, Cta::new(expected), "{reads}/{writes}/{delay}");
+            assert_eq!(cta.ops.capacity(), cta.ops.len());
+        }
     }
 
     #[test]
